@@ -1,6 +1,6 @@
 """Learned cardinality corrections vs. plain estimation on an aging run.
 
-Three arms stream the same ``U50-S-100`` statements through the same
+Two arms stream the same ``U50-S-100`` statements through the same
 deterministic loop (optimize → execute → DML → one staleness-monitor
 sweep per statement), repeated ``REPEATS`` times so corrections trained
 on round *n* serve round *n + 1*:
@@ -12,12 +12,8 @@ on round *n* serve round *n + 1*:
   (multiplicative EWMA corrections) sits inside selectivity estimation,
   so the q-error a plan *would have* paid is paid at most once per
   (target, drift) instead of on every execution.
-* **sketch** — the learned arm plus an AGMS
-  :class:`~repro.learned.SketchJoinEstimator` A/B-wired through
-  :class:`~repro.core.driver.WorkloadDriver`; reported for comparison,
-  not asserted (sketches at bench depth are noisy on skewed keys).
 
-All arms tune statistics identically (a raw optimizer runs the MNSA
+Both arms tune statistics identically (a raw optimizer runs the MNSA
 pass, so every arm starts from the same statistics and any difference is
 the corrections' doing).  A shadow *scoreboard* feedback store — fed the
 same observations but never reset by the refresh policy — provides the
@@ -41,12 +37,11 @@ import pytest
 
 from repro.backends.memory import MemoryBackend
 from repro.config import RefreshPolicy
-from repro.core.driver import WorkloadDriver
 from repro.core.mnsa import mnsa_for_workload
 from repro.executor import Executor
 from repro.executor.dml import apply_dml
 from repro.feedback import FeedbackPolicy, FeedbackStore, worst_plan_q_error
-from repro.learned import CorrectionStore, SketchJoinEstimator
+from repro.learned import CorrectionStore
 from repro.optimizer import Optimizer, PlanCache
 from repro.service import MetricsRegistry, StalenessMonitor
 from repro.sql.query import Query
@@ -76,7 +71,7 @@ def _capped_statements(workload):
 
 
 def _run_arm(factory, arm: str):
-    """One arm of the A/B/C comparison; returns its result dict."""
+    """One arm of the A/B comparison; returns its result dict."""
     db = factory(Z)
     workload = generate_workload(db, WORKLOAD)
     statements = _capped_statements(workload)
@@ -86,25 +81,8 @@ def _run_arm(factory, arm: str):
     # the statistics, so the arms differ only in how they estimate
     mnsa_for_workload(MemoryBackend(db, Optimizer(db)), queries)
 
-    corrections = join_estimator = None
-    if arm in ("learned", "sketch"):
-        corrections = CorrectionStore(model="multiplicative")
-    if arm == "sketch":
-        join_estimator = SketchJoinEstimator(db)
-    # the driver's A/B hook: the run optimizer (and any pre-warm clones)
-    # carries the arm's learned attachments
-    driver = WorkloadDriver(
-        MemoryBackend(
-            db,
-            Optimizer(
-                db,
-                cache=PlanCache(),
-                corrections=corrections,
-                join_estimator=join_estimator,
-            ),
-        )
-    )
-    optimizer = driver.optimizer
+    corrections = CorrectionStore() if arm == "learned" else None
+    optimizer = Optimizer(db, cache=PlanCache(), corrections=corrections)
     executor = Executor(db)
 
     store = FeedbackStore()
@@ -169,16 +147,12 @@ def _run_arm(factory, arm: str):
 def arms(factory):
     return {
         arm: _run_arm(factory, arm)
-        for arm in ("baseline", "learned", "sketch")
+        for arm in ("baseline", "learned")
     }
 
 
 def test_learned_corrections_beat_plain_estimation(arms, report):
-    baseline, learned, sketch = (
-        arms["baseline"],
-        arms["learned"],
-        arms["sketch"],
-    )
+    baseline, learned = arms["baseline"], arms["learned"]
     write_bench_json(
         "learned_correction",
         {
@@ -188,7 +162,6 @@ def test_learned_corrections_beat_plain_estimation(arms, report):
             "retune_threshold": RETUNE_THRESHOLD,
             "baseline": baseline,
             "learned": learned,
-            "sketch": sketch,
             "q_error_ratio": round(
                 learned["decayed_max_q_error"]
                 / baseline["decayed_max_q_error"],

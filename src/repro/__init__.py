@@ -91,13 +91,7 @@ from repro.feedback import (
     worst_plan_q_error,
 )
 from repro.index import apply_tuned_tpcd_indexes
-from repro.learned import (
-    BucketRegressor,
-    CorrectionModel,
-    CorrectionStore,
-    MultiplicativeCorrection,
-    SketchJoinEstimator,
-)
+from repro.learned import CorrectionStore, MultiplicativeCorrection
 from repro.optimizer import (
     OptimizationRequest,
     OptimizationResult,
@@ -126,7 +120,7 @@ from repro.workload import (
     tpcd_queries,
 )
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     # engine backends
@@ -183,11 +177,8 @@ __all__ = [
     "PlanInstrumenter",
     "QErrorTracker",
     # learned corrections
-    "BucketRegressor",
-    "CorrectionModel",
     "CorrectionStore",
     "MultiplicativeCorrection",
-    "SketchJoinEstimator",
     # indexes
     "apply_tuned_tpcd_indexes",
     # core algorithms

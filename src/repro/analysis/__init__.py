@@ -29,9 +29,9 @@ R006–R008 run on a summary-based interprocedural **effect analysis**
 mutated, metrics emitted, warnings raised, locks taken — propagated to a
 fixpoint through ``self.method()`` and module-call edges.
 
-Run via ``repro lint src/`` (``--jobs N`` for multi-process, ``--cache``
-for incremental re-runs, ``--format json|sarif`` for machine-readable
-output, ``--fix`` for mechanical rewrites) or programmatically::
+Run via ``repro lint src/`` (``--cache`` for incremental re-runs,
+``--format json|sarif`` for machine-readable output, ``--fix`` for
+mechanical rewrites) or programmatically::
 
     from repro.analysis import run_lint
     findings = run_lint(["src"])

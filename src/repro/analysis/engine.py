@@ -1,11 +1,10 @@
-"""The production lint driver: incremental cache + multi-process runs.
+"""The production lint driver: an incremental on-disk cache.
 
 :func:`run_lint` is what ``repro lint`` calls.  It produces exactly the
 findings :func:`~repro.analysis.framework.lint_paths` would — sorted by
 ``(path, line, col, rule id, message)``, suppressions applied — but can
-skip work via an on-disk cache and fan rule execution out over worker
-processes.  Cached re-runs and ``--jobs N`` runs are byte-identical to a
-cold serial run; the regression tests in ``tests/analysis`` pin that.
+skip work via an on-disk cache.  Cached re-runs are byte-identical to a
+cold run; the regression tests in ``tests/analysis`` pin that.
 
 Incrementality splits on :attr:`~repro.analysis.framework.Rule.scope`:
 
@@ -21,11 +20,9 @@ Incrementality splits on :attr:`~repro.analysis.framework.Rule.scope`:
   or a deprecation-table row, or a test — re-runs every project rule;
   nothing can serve a stale cross-file finding.
 
-Multi-process execution partitions the same work units (one task per
-project rule, one per uncached ``(file-rule, file)``) over a
-:class:`~concurrent.futures.ProcessPoolExecutor`; workers re-parse
-their slice, and the deterministic final sort makes the merge
-order-insensitive.
+The uncached work units (one per project rule, one per uncached
+``(file-rule, file)``) run in-process, sharing one parsed project per
+file slice.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ def run_lint(
     rules: Optional[Sequence[str]] = None,
     baseline: Optional[str] = None,
     cache_path: Optional[str] = None,
-    jobs: int = 1,
     stats: Optional[Dict[str, int]] = None,
 ) -> List[Finding]:
     """Lint ``paths``; the engine behind ``repro lint``.
@@ -74,7 +70,6 @@ def run_lint(
             out of the result.
         cache_path: optional on-disk incremental cache (read and
             rewritten); None disables caching.
-        jobs: worker processes (1 = in-process serial).
         stats: optional dict the run adds instrumentation counters to:
             ``file_rule_runs`` / ``project_rule_runs`` (rule executions)
             and ``file_rule_cache_hits`` / ``project_rule_cache_hits``.
@@ -130,7 +125,7 @@ def run_lint(
             stats["project_rule_runs"] += 1
             tasks.append(("project", rule_id, tuple(files)))
 
-    results = _execute(tasks, jobs)
+    results = _execute(tasks)
     for task, payload in results.items():
         findings.extend(Finding.from_dict(d) for d in payload)
 
@@ -152,15 +147,9 @@ def run_lint(
 # ----------------------------------------------------------------------
 
 
-def _execute(tasks: List[_Task], jobs: int) -> Dict[_Task, List[dict]]:
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            payloads = list(pool.map(_run_task, tasks))
-        return dict(zip(tasks, payloads))
-    # serial: share one parsed Project (and its effect analysis) across
-    # every rule running on the same file slice
+def _execute(tasks: List[_Task]) -> Dict[_Task, List[dict]]:
+    # share one parsed Project (and its effect analysis) across every
+    # rule running on the same file slice
     projects: Dict[Tuple[str, ...], object] = {}
     results: Dict[_Task, List[dict]] = {}
     for task in tasks:
@@ -169,14 +158,6 @@ def _execute(tasks: List[_Task], jobs: int) -> Dict[_Task, List[dict]]:
             projects[files] = build_project(files)
         results[task] = _run_rule(projects[files], rule_id)
     return results
-
-
-def _run_task(task: _Task) -> List[dict]:
-    """Run one rule over one file slice (top-level: picklable for
-    worker processes, which re-parse their own slice)."""
-    _load_builtin_rules()
-    _, rule_id, files = task
-    return _run_rule(build_project(files), rule_id)
 
 
 def _run_rule(project, rule_id: str) -> List[dict]:

@@ -198,12 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--learned-model",
-        choices=("multiplicative", "bucket"),
-        default="multiplicative",
-        help="correction model class used when --learned is on",
-    )
-    serve.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
         default="memory",
@@ -253,12 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
             "feed observations into a learned correction store and "
             "report its per-key factors and hit/miss counters"
         ),
-    )
-    feedback.add_argument(
-        "--learned-model",
-        choices=("multiplicative", "bucket"),
-        default="multiplicative",
-        help="correction model class used when --learned is on",
     )
 
     experiment = sub.add_parser(
@@ -337,13 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "sarif"),
         default="text",
         help="output format (default: text)",
-    )
-    lint.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run rules in N worker processes (default: 1, in-process)",
     )
     lint.add_argument(
         "--cache",
@@ -568,7 +549,6 @@ def _cmd_serve(args) -> int:
         qerror_refresh_threshold=args.qerror_refresh_threshold,
         qerror_retune_threshold=args.qerror_retune_threshold,
         learned_enabled=args.learned,
-        learned_model=args.learned_model,
         shards=args.shards,
         backend=args.backend,
     )
@@ -580,7 +560,7 @@ def _cmd_serve(args) -> int:
         else ""
     )
     if args.learned:
-        feedback_note += f", learned corrections ({args.learned_model})"
+        feedback_note += ", learned corrections (multiplicative)"
     if args.backend != "memory":
         feedback_note += f", {args.backend} analysis backend"
     print(
@@ -631,7 +611,7 @@ def _cmd_serve(args) -> int:
         counters = service.corrections.counters()
         print("\n--- corrections")
         print(
-            f"model {service.corrections.model_name} "
+            "model multiplicative "
             f"(version {counters['version']}): "
             f"{counters['observations']} observations, "
             f"{counters['hits']} hits / {counters['misses']} misses, "
@@ -704,7 +684,7 @@ def _cmd_feedback(args) -> int:
     if args.learned:
         from repro.learned import CorrectionStore
 
-        corrections = CorrectionStore(model=args.learned_model)
+        corrections = CorrectionStore()
     optimizer = Optimizer(db, corrections=corrections)
     executor = Executor(db)
     store = FeedbackStore()
@@ -731,7 +711,7 @@ def _cmd_feedback(args) -> int:
     if corrections is not None:
         cc = corrections.counters()
         print(
-            f"\n--- corrections ({corrections.model_name}, "
+            "\n--- corrections (multiplicative, "
             f"version {cc['version']}): "
             f"{cc['hits']} hits / {cc['misses']} misses, "
             f"{cc['observations']} observations, "
@@ -1144,7 +1124,6 @@ def _cmd_lint(args) -> int:
                 ]
         lint_targets = selected
 
-    jobs = max(1, args.jobs)
     baseline = args.baseline
     if baseline is None:
         first = args.paths[0] if args.paths else "src"
@@ -1158,7 +1137,7 @@ def _cmd_lint(args) -> int:
                 break
 
     if args.update_baseline:
-        findings = run_lint(lint_targets, rules=rules, jobs=jobs)
+        findings = run_lint(lint_targets, rules=rules)
         target = args.baseline or BASELINE_FILENAME
         save_baseline(target, findings)
         print(f"wrote {len(findings)} finding(s) to {target}")
@@ -1169,7 +1148,6 @@ def _cmd_lint(args) -> int:
         rules=rules,
         baseline=baseline,
         cache_path=args.cache,
-        jobs=jobs,
     )
 
     if args.fix or args.fix_unsafe:
@@ -1184,7 +1162,6 @@ def _cmd_lint(args) -> int:
                 rules=rules,
                 baseline=baseline,
                 cache_path=args.cache,
-                jobs=jobs,
             )
 
     if args.format == "text":

@@ -71,8 +71,8 @@ class PlanSource:
 
     Attributes:
         prop: name of the version property on the attribute's value
-            (default ``"version"``; ``CorrectionStore.version`` and
-            ``SketchJoinEstimator.version`` are the canonical examples).
+            (default ``"version"``; ``CorrectionStore.version`` is the
+            canonical example).
 
     Rule R009 requires that the declared version is read somewhere on
     the optimize path and folded into every request handed to the plan

@@ -2,25 +2,15 @@
 
 Closes the loop PR 4's feedback subsystem opened: instead of only
 *scheduling* refreshes from observed (estimate, actual) pairs, maintain
-online correction models and apply them inside selectivity estimation
-before plan choice.  See ``docs/learned.md`` for the model classes,
-invalidation semantics, and the sketch A/B harness.
+online correction factors and apply them inside selectivity estimation
+before plan choice.  See ``docs/learned.md`` for the model and its
+invalidation semantics.
 """
 
-from repro.learned.model import (
-    BucketRegressor,
-    CorrectionModel,
-    MultiplicativeCorrection,
-    build_model,
-)
-from repro.learned.sketch import SketchJoinEstimator
+from repro.learned.model import MultiplicativeCorrection
 from repro.learned.store import CorrectionStore
 
 __all__ = [
-    "BucketRegressor",
-    "CorrectionModel",
     "CorrectionStore",
     "MultiplicativeCorrection",
-    "SketchJoinEstimator",
-    "build_model",
 ]

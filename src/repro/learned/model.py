@@ -1,48 +1,32 @@
-"""Online correction models for cardinality estimates.
+"""Online correction model for cardinality estimates.
 
 A correction model maps a feedback target (a :class:`FeedbackKey` plus
 an observation *kind*) to a multiplicative factor that the optimizer
-applies to its own selectivity estimate before plan choice.  Models are
-fed log-space estimate/actual ratios harvested from executed plans and
-must generalize cheaply: the service folds one observation per plan
+applies to its own selectivity estimate before plan choice.  The model
+is fed log-space estimate/actual ratios harvested from executed plans
+and must stay cheap: the service folds one observation per plan
 operator on the query path.
 
-Two model classes live behind the :class:`CorrectionModel` protocol:
-
-``MultiplicativeCorrection``
-    One exponentially-decayed factor per exact (table, column-set, kind)
-    target — precise, but only corrects targets it has seen verbatim.
-
-``BucketRegressor``
-    Hashes each target's predicate features (kind + column names) into a
-    small per-table bucket space, so unseen column-sets inherit the
-    correction learned from colliding neighbours — coarser, but it
-    generalizes across a table's predicates.
-
-Both publish factors with hysteresis: the internally tracked estimate
-moves on every observation, but the *published* factor (the one the
-optimizer reads) only moves once the estimate has drifted far enough in
-log space.  The owning :class:`~repro.learned.store.CorrectionStore`
-turns publishes into version bumps, so hysteresis is what keeps the plan
-cache from thrashing on observation noise.
+:class:`MultiplicativeCorrection` keeps one exponentially-decayed factor
+per exact (table, column-set, kind) target.  It publishes factors with
+hysteresis: the internally tracked estimate moves on every observation,
+but the *published* factor (the one the optimizer reads) only moves
+once the estimate has drifted far enough in log space.  The owning
+:class:`~repro.learned.store.CorrectionStore` turns publishes into
+version bumps, so hysteresis is what keeps the plan cache from
+thrashing on observation noise.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.feedback.observation import FeedbackKey
 
-__all__ = [
-    "CorrectionModel",
-    "MultiplicativeCorrection",
-    "BucketRegressor",
-    "build_model",
-]
+__all__ = ["MultiplicativeCorrection"]
 
 #: Observation kinds a model distinguishes; a join misestimate must never
 #: bleed into filter corrections for the same columns.
@@ -52,47 +36,9 @@ KINDS = ("filter", "join", "group")
 #: exp(0.22) ~ 1.25: the estimate must move ~25% to change plans.
 DEFAULT_DRIFT = 0.22
 
-#: Default bucket count per (table, kind) for the hashed regressor.
-DEFAULT_BUCKETS = 64
-
-#: splitmix64 mixing constants, used to derive deterministic bucket
-#: labels that are stable across processes (unlike ``hash``).
-_CRC_SEED = 0x9E3779B9
-
-
-class CorrectionModel(Protocol):
-    """What the :class:`~repro.learned.store.CorrectionStore` needs from
-    a model class.
-
-    Implementations are *not* thread-safe on their own; the store
-    serializes access under its lock.
-    """
-
-    name: str
-
-    def absorb(self, key: FeedbackKey, kind: str, log_ratio: float) -> bool:
-        """Absorb one log(actual/estimated) ratio for ``key``.
-
-        Returns ``True`` iff a *published* factor moved — the signal the
-        store turns into a correction-model version bump.
-        """
-
-    def factor(self, key: FeedbackKey, kind: str) -> Optional[float]:
-        """The published multiplicative correction, or ``None`` if this
-        model has nothing to say about ``key``."""
-
-    def drop_table(self, table: str) -> int:
-        """Drop every factor learned for ``table``; returns the count."""
-
-    def trim(self, capacity: int) -> int:
-        """Evict least-recently-observed entries down to ``capacity``;
-        returns the number evicted."""
-
-    def size(self) -> int:
-        """Number of tracked factor entries."""
-
-    def snapshot_rows(self) -> List[Tuple[str, str, Dict[str, float]]]:
-        """``(target_label, kind, aggregates)`` rows, strongest first."""
+#: ``(table, kind, columns)`` — the table first, so per-table
+#: invalidation stays a linear sweep.
+_Slot = Tuple[str, str, Tuple[str, ...]]
 
 
 class _EwmaFactor:
@@ -125,38 +71,33 @@ class _EwmaFactor:
         return False
 
 
-class _SlottedEwmaModel:
-    """Shared machinery: an LRU map of slots to EWMA factors.
+class MultiplicativeCorrection:
+    """Exact per-(table, column-set, kind) decayed multiplicative factors.
 
-    Subclasses choose the slot layout — the tuple always starts with the
-    table name so per-table invalidation stays a linear sweep.
+    An LRU map of ``(table, kind, columns)`` slots to EWMA factors.
+    Not thread-safe on its own: the
+    :class:`~repro.learned.store.CorrectionStore` serializes access
+    under its lock.
     """
 
-    name = "abstract"
-
-    def __init__(self, decay: float, drift: float) -> None:
+    def __init__(
+        self, decay: float = 0.8, drift: float = DEFAULT_DRIFT
+    ) -> None:
         if not 0.0 < decay < 1.0:
             raise ServiceError(f"decay must be in (0, 1), got {decay}")
         if drift < 0.0:
             raise ServiceError(f"drift must be >= 0, got {drift}")
         self._decay = decay
         self._drift = drift
-        self._entries: "OrderedDict[Tuple[str, str, object], _EwmaFactor]" = (
-            OrderedDict()
-        )
-
-    # -- slot layout ---------------------------------------------------
-
-    def _slot(self, key: FeedbackKey, kind: str) -> Tuple[str, str, object]:
-        raise NotImplementedError
-
-    def _label(self, slot: Tuple[str, str, object]) -> str:
-        raise NotImplementedError
-
-    # -- CorrectionModel -----------------------------------------------
+        self._entries: "OrderedDict[_Slot, _EwmaFactor]" = OrderedDict()
 
     def absorb(self, key: FeedbackKey, kind: str, log_ratio: float) -> bool:
-        slot = self._slot(key, kind)
+        """Absorb one log(actual/estimated) ratio for ``key``.
+
+        Returns ``True`` iff the *published* factor moved — the signal
+        the store turns into a correction-model version bump.
+        """
+        slot: _Slot = (key.table, kind, key.columns)
         state = self._entries.get(slot)
         if state is None:
             state = _EwmaFactor()
@@ -166,18 +107,23 @@ class _SlottedEwmaModel:
         return state.absorb(log_ratio, self._decay, self._drift)
 
     def factor(self, key: FeedbackKey, kind: str) -> Optional[float]:
-        state = self._entries.get(self._slot(key, kind))
+        """The published multiplicative correction, or ``None`` if
+        nothing was learned for ``key``."""
+        state = self._entries.get((key.table, kind, key.columns))
         if state is None:
             return None
         return math.exp(state.log_published)
 
     def drop_table(self, table: str) -> int:
+        """Drop every factor learned for ``table``; returns the count."""
         stale = [slot for slot in self._entries if slot[0] == table]
         for slot in stale:
             del self._entries[slot]
         return len(stale)
 
     def trim(self, capacity: int) -> int:
+        """Evict least-recently-observed entries down to ``capacity``;
+        returns the number evicted."""
         evicted = 0
         while len(self._entries) > capacity:
             self._entries.popitem(last=False)
@@ -185,81 +131,21 @@ class _SlottedEwmaModel:
         return evicted
 
     def size(self) -> int:
+        """Number of tracked factor entries."""
         return len(self._entries)
 
     def snapshot_rows(self) -> List[Tuple[str, str, Dict[str, float]]]:
+        """``(target_label, kind, aggregates)`` rows, strongest first."""
         rows = [
             (
-                self._label(slot),
-                slot[1],
+                str(FeedbackKey(table, columns)),
+                kind,
                 {
                     "factor": math.exp(state.log_published),
                     "count": float(state.count),
                 },
             )
-            for slot, state in self._entries.items()
+            for (table, kind, columns), state in self._entries.items()
         ]
         rows.sort(key=lambda row: abs(math.log(row[2]["factor"])), reverse=True)
         return rows
-
-
-class MultiplicativeCorrection(_SlottedEwmaModel):
-    """Exact per-(table, column-set, kind) decayed multiplicative factors."""
-
-    name = "multiplicative"
-
-    def __init__(
-        self, decay: float = 0.8, drift: float = DEFAULT_DRIFT
-    ) -> None:
-        super().__init__(decay, drift)
-
-    def _slot(self, key: FeedbackKey, kind: str) -> Tuple[str, str, object]:
-        return (key.table, kind, key.columns)
-
-    def _label(self, slot: Tuple[str, str, object]) -> str:
-        table, _kind, columns = slot
-        return str(FeedbackKey(table, columns))  # type: ignore[arg-type]
-
-
-class BucketRegressor(_SlottedEwmaModel):
-    """Hash-bucketed predicate-feature regressor.
-
-    Targets are reduced to ``(table, kind, bucket)`` where the bucket
-    hashes the sorted column names; column-sets that collide share a
-    factor, trading precision for generalization within a table.  The
-    hash is CRC32-based so bucket assignment is stable across runs.
-    """
-
-    name = "bucket"
-
-    def __init__(
-        self,
-        decay: float = 0.8,
-        drift: float = DEFAULT_DRIFT,
-        buckets: int = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(decay, drift)
-        if buckets < 1:
-            raise ServiceError(f"buckets must be >= 1, got {buckets}")
-        self._buckets = buckets
-
-    def _slot(self, key: FeedbackKey, kind: str) -> Tuple[str, str, object]:
-        feature = f"{kind}|{','.join(key.columns)}".encode()
-        return (key.table, kind, zlib.crc32(feature, _CRC_SEED) % self._buckets)
-
-    def _label(self, slot: Tuple[str, str, object]) -> str:
-        table, _kind, bucket = slot
-        return f"{table}[b{bucket:02d}]"
-
-
-def build_model(
-    name: str, decay: float, drift: float = DEFAULT_DRIFT
-) -> CorrectionModel:
-    """Instantiate a model class by its config name."""
-    if name == "multiplicative":
-        return MultiplicativeCorrection(decay=decay, drift=drift)
-    if name == "bucket":
-        return BucketRegressor(decay=decay, drift=drift)
-    raise ServiceError(
-        f"unknown correction model {name!r}; expected 'multiplicative' or 'bucket'"
-    )

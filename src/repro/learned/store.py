@@ -35,7 +35,7 @@ from repro.feedback.observation import (
     FeedbackKey,
     OperatorObservation,
 )
-from repro.learned.model import CorrectionModel, build_model
+from repro.learned.model import MultiplicativeCorrection
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.service.metrics import MetricsRegistry
@@ -61,9 +61,6 @@ class CorrectionStore:
 
     Parameters
     ----------
-    model:
-        Model class name: ``"multiplicative"`` (exact targets) or
-        ``"bucket"`` (hashed predicate features).
     capacity:
         Maximum tracked factor entries; least-recently-observed entries
         are evicted beyond it.
@@ -87,7 +84,6 @@ class CorrectionStore:
 
     def __init__(
         self,
-        model: str = "multiplicative",
         capacity: int = 512,
         decay: float = 0.8,
         max_factor: float = 32.0,
@@ -97,13 +93,12 @@ class CorrectionStore:
             raise ServiceError(f"capacity must be >= 1, got {capacity}")
         if max_factor <= 1.0:
             raise ServiceError(f"max_factor must be > 1, got {max_factor}")
-        self.model_name = model
         self.capacity = capacity
         self.decay = decay
         self.max_factor = max_factor
         self._metrics = metrics
         self._lock = threading.Lock()
-        self._model: CorrectionModel = build_model(model, decay=decay)
+        self._model = MultiplicativeCorrection(decay=decay)
         self._epoch = 0
         self.observations_total = 0
         self.hits_total = 0
@@ -237,7 +232,7 @@ class CorrectionStore:
         """Forget everything (corrections and counters stay separate:
         lifetime counters are preserved)."""
         with self._lock:
-            self._model = build_model(self.model_name, decay=self.decay)
+            self._model = MultiplicativeCorrection(decay=self.decay)
             self._epoch += 1
         self._publish_metrics()
 

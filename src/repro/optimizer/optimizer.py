@@ -10,9 +10,8 @@ algorithms need:
   Set algorithm uses to obtain ``Plan(Q, S')`` for S' ⊂ S.
 
 ``magic_variables(query)`` reports which selectivity variables currently
-fall back to magic numbers (step (a) of the Sec 4.1 test).  The legacy
-``optimize(query, selectivity_overrides=..., ignore_statistics=...)``
-kwargs survive as a deprecated shim over ``optimize_request``.
+fall back to magic numbers (step (a) of the Sec 4.1 test).
+``optimize(query)`` is shorthand for the default request.
 
 An optional :class:`~repro.optimizer.cache.PlanCache` memoizes results
 per request; see that module for the epoch / fingerprint invalidation
@@ -29,13 +28,12 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.concurrency import guarded_by, plan_source
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
-from repro.errors import OptimizerError, ReproDeprecationWarning
+from repro.errors import OptimizerError
 from repro.optimizer.cache import (
     OptimizationRequest,
     PlanCache,
@@ -99,9 +97,6 @@ class Optimizer:
             is folded into the plan-cache key (see
             :meth:`OptimizationRequest.with_learned_version`) so corrected
             and uncorrected plans never alias in a shared cache.
-        join_estimator: optional
-            :class:`~repro.learned.SketchJoinEstimator`, the sketch-based
-            A/B alternative; versioned into the cache key the same way.
     """
 
     # repro-lint: optimize-path
@@ -110,7 +105,6 @@ class Optimizer:
     _call_count = guarded_by("_count_lock")
     _cold_count = guarded_by("_count_lock")
     _corrections = plan_source("version")
-    _join_estimator = plan_source("version")
 
     def __init__(
         self,
@@ -118,14 +112,12 @@ class Optimizer:
         config: OptimizerConfig = DEFAULT_CONFIG,
         cache: Optional[PlanCache] = None,
         corrections=None,
-        join_estimator=None,
     ) -> None:
         self._db = database
         self._config = config
         self._cost = CostModel(config)
         self._cache = cache
         self._corrections = corrections
-        self._join_estimator = join_estimator
         self._count_lock = threading.Lock()
         self._call_count = 0
         self._cold_count = 0
@@ -142,11 +134,6 @@ class Optimizer:
     def corrections(self):
         """The attached :class:`~repro.learned.CorrectionStore`, if any."""
         return self._corrections
-
-    @property
-    def join_estimator(self):
-        """The attached sketch join estimator, if any."""
-        return self._join_estimator
 
     def attach_cache(self, cache: PlanCache) -> None:
         """Attach a plan cache after construction.
@@ -224,33 +211,10 @@ class Optimizer:
         self._cache.store(request, epoch, fingerprint, result)
         return result
 
-    def optimize(
-        self,
-        query: Query,
-        selectivity_overrides: Optional[Dict[SelectivityVariable, float]] = None,
-        ignore_statistics: Optional[Iterable] = None,
-    ) -> OptimizationResult:
-        """Choose the cheapest plan for ``query``.
-
-        .. deprecated::
-            The ``selectivity_overrides`` / ``ignore_statistics`` kwargs
-            are a shim over :meth:`optimize_request`; build an
-            :class:`~repro.optimizer.cache.OptimizationRequest` instead.
-            Calling with just a query stays supported.
-        """
-        if selectivity_overrides is not None or ignore_statistics is not None:
-            warnings.warn(
-                "optimize(query, selectivity_overrides=..., "
-                "ignore_statistics=...) is deprecated; pass an "
-                "OptimizationRequest to Optimizer.optimize_request()",
-                ReproDeprecationWarning,
-                stacklevel=2,
-            )
-        return self.optimize_request(
-            OptimizationRequest.of(
-                query, selectivity_overrides, ignore_statistics
-            )
-        )
+    def optimize(self, query: Query) -> OptimizationResult:
+        """Choose the cheapest plan for ``query`` (the default request:
+        no pins, nothing ignored)."""
+        return self.optimize_request(OptimizationRequest(query))
 
     def magic_variables(self, query: Query) -> List[SelectivityVariable]:
         """Selectivity variables of ``query`` forced onto magic numbers.
@@ -262,19 +226,12 @@ class Optimizer:
         estimator = SelectivityEstimator(self._db, self._config)
         return estimator.missing_variables(query)
 
-    def _learned_version(self) -> Optional[Tuple[int, int]]:
-        """The combined learned-component version for cache keying, or
-        ``None`` when no learned component is attached."""
-        if self._corrections is None and self._join_estimator is None:
+    def _learned_version(self) -> Optional[int]:
+        """The correction store's version for cache keying, or ``None``
+        when no corrections are attached."""
+        if self._corrections is None:
             return None
-        return (
-            self._corrections.version if self._corrections is not None else -1,
-            (
-                self._join_estimator.version
-                if self._join_estimator is not None
-                else -1
-            ),
-        )
+        return self._corrections.version
 
     def _keyed_request(
         self, request: OptimizationRequest
@@ -321,7 +278,6 @@ class Optimizer:
             self._config,
             overrides,
             corrections=self._corrections,
-            join_estimator=self._join_estimator,
             use_statistics=use_statistics,
         )
         best = self._enumerate_joins(query, estimator)

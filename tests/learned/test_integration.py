@@ -85,20 +85,6 @@ class TestOptimizerIntegration:
             db, corrections=trained_store()
         ).magic_variables(query) == Optimizer(db).magic_variables(query)
 
-    def test_duck_typed_join_estimator_is_consulted(self, db):
-        class StubJoinEstimator:
-            version = 7
-
-            def join_selectivity(self, left, right):
-                return 0.9  # far above the FK-implied 1/|dept|
-
-        query = join_query(db)
-        plain = Optimizer(db).optimize(query)
-        sketched = Optimizer(
-            db, join_estimator=StubJoinEstimator()
-        ).optimize(query)
-        assert sketched.rows > plain.rows
-
 
 class TestPlanCacheKeying:
     def test_corrected_and_plain_plans_never_alias(self, db):
@@ -128,9 +114,9 @@ class TestPlanCacheKeying:
 
     def test_explicit_learned_component_is_respected(self, db):
         query = filter_query(db)
-        request = OptimizationRequest(query, learned=(3, -1))
-        assert request.with_learned_version((3, -1)) is request
-        other = request.with_learned_version((4, -1))
+        request = OptimizationRequest(query, learned=3)
+        assert request.with_learned_version(3) is request
+        other = request.with_learned_version(4)
         assert other != request
         assert hash(other) != hash(request)
 

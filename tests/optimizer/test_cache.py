@@ -2,7 +2,7 @@
 
 Covers request canonicalization, the epoch/fingerprint invalidation
 matrix over every StatisticsManager mutation path, LRU bounding, the
-deprecated ``optimize(...)`` kwargs shim, and call-count atomicity.
+``optimize(query)`` shorthand, and call-count atomicity.
 """
 
 import threading
@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro.catalog import ColumnRef
-from repro.errors import OptimizerError, ReproDeprecationWarning
+from repro.errors import OptimizerError
 from repro.optimizer import OptimizationRequest, Optimizer, PlanCache
 from repro.optimizer.cache import statistics_fingerprint
 from repro.optimizer.variables import PredicateVariable
@@ -69,13 +69,6 @@ class TestOptimizationRequest:
     def test_requires_bound_query(self):
         with pytest.raises(OptimizerError):
             OptimizationRequest("SELECT * FROM emp")
-
-    def test_of_mirrors_optimize_kwargs(self, db):
-        query = _age_query(db)
-        request = OptimizationRequest.of(
-            query, selectivity_overrides=None, ignore_statistics=[AGE]
-        )
-        assert request == OptimizationRequest(query, ignore=[AGE])
 
 
 class TestPlanCacheBasics:
@@ -279,52 +272,12 @@ class TestFingerprint:
         assert ignoring != seeing
 
 
-class TestDeprecatedShims:
-    def test_optimize_kwargs_warn(self, db):
+class TestOptimizeShorthand:
+    def test_plain_optimize_is_the_default_request(self, db):
         opt = Optimizer(db, cache=PlanCache(4))
         query = _age_query(db)
-        pred = ComparisonPredicate(AGE, "<", 30)
-        pin = {PredicateVariable(pred): 0.25}
-        with pytest.warns(ReproDeprecationWarning):
-            via_shim = opt.optimize(query, selectivity_overrides=pin)
-        direct = opt.optimize_request(OptimizationRequest(query, pin))
-        assert via_shim is direct  # same cache entry
-        with pytest.warns(ReproDeprecationWarning):
-            opt.optimize(query, ignore_statistics=[AGE])
-
-    def test_plain_optimize_does_not_warn(self, db, recwarn):
-        Optimizer(db).optimize(_age_query(db))
-        assert not [
-            w
-            for w in recwarn.list
-            if issubclass(w.category, ReproDeprecationWarning)
-        ]
-
-    def test_mnsad_loose_floats_warn(self, db):
-        from repro.core.mnsad import mnsad_for_query
-
-        db.stats.create(AGE)
-        query = _age_query(db)
-        with pytest.warns(ReproDeprecationWarning):
-            mnsad_for_query(db, Optimizer(db), query, t_percent=25.0)
-
-    def test_shrinking_set_loose_float_warns(self, db):
-        from repro.core.shrinking import shrinking_set
-
-        db.stats.create(AGE)
-        query = _age_query(db)
-        with pytest.warns(ReproDeprecationWarning):
-            shrinking_set(db, Optimizer(db), [query], t_percent=25.0)
-
-    def test_essential_loose_float_warns(self, db):
-        from repro.core.essential import find_minimal_essential_set
-
-        db.stats.create(AGE)
-        query = _age_query(db)
-        with pytest.warns(ReproDeprecationWarning):
-            find_minimal_essential_set(
-                Optimizer(db), db, query, [StatKey.single(AGE)], t_percent=25.0
-            )
+        first = opt.optimize(query)
+        assert opt.optimize_request(OptimizationRequest(query)) is first
 
 
 class TestCallCountAtomicity:

@@ -42,21 +42,19 @@ def observations(draw):
 
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-models = st.sampled_from(("multiplicative", "bucket"))
 
 
 class TestCorrectionBounds:
     @given(
-        model=models,
         obs=st.lists(observations(), max_size=25),
         selectivity=unit,
         max_factor=st.floats(min_value=1.5, max_value=64.0),
     )
     @settings(max_examples=80, deadline=None)
     def test_corrections_stay_in_unit_interval_and_factor_band(
-        self, model, obs, selectivity, max_factor
+        self, obs, selectivity, max_factor
     ):
-        store = CorrectionStore(model=model, max_factor=max_factor)
+        store = CorrectionStore(max_factor=max_factor)
         store.observe_all(obs)
         for table in TABLES:
             corrected = store.correct_filter(
@@ -77,10 +75,10 @@ class TestCorrectionBounds:
 
 
 class TestIdentityAndInvalidation:
-    @given(model=models, selectivity=unit)
+    @given(selectivity=unit)
     @settings(max_examples=40, deadline=None)
-    def test_untrained_store_is_the_identity(self, model, selectivity):
-        store = CorrectionStore(model=model)
+    def test_untrained_store_is_the_identity(self, selectivity):
+        store = CorrectionStore()
         assert store.correct_filter("emp", ("age",), selectivity) == (
             pytest.approx(selectivity)
         )
@@ -93,15 +91,12 @@ class TestIdentityAndInvalidation:
         assert store.version == 0
 
     @given(
-        model=models,
         obs=st.lists(observations(), min_size=1, max_size=25),
         selectivity=unit,
     )
     @settings(max_examples=80, deadline=None)
-    def test_invalidated_table_reverts_to_identity(
-        self, model, obs, selectivity
-    ):
-        store = CorrectionStore(model=model)
+    def test_invalidated_table_reverts_to_identity(self, obs, selectivity):
+        store = CorrectionStore()
         store.observe_all(obs)
         version_after_training = store.version
         for table in TABLES:

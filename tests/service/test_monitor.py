@@ -4,10 +4,8 @@ import threading
 import time
 
 import numpy as np
-import pytest
 
 from repro.config import RefreshPolicy
-from repro.errors import ReproDeprecationWarning
 from repro.feedback import FeedbackPolicy, FeedbackStore
 from repro.feedback.observation import (
     FeedbackKey,
@@ -172,12 +170,7 @@ class TestFeedbackPolicyIntegration:
         assert store.table_q_error("emp") == 1.0
 
 
-class TestUpdateThresholdDeprecation:
-    def test_shim_warns_and_maps_to_fraction(self, db):
-        with pytest.warns(ReproDeprecationWarning):
-            monitor = make_monitor(db, update_threshold=0.5)
-        assert monitor._fraction == 0.5
-
+class TestFraction:
     def test_fraction_path_does_not_warn(self, db):
         monitor = make_monitor(db, fraction=0.5)  # no warning escalation
         assert monitor._fraction == 0.5

@@ -13,13 +13,11 @@ EXPECTED = [
     "AutoDropPolicy",
     "BACKEND_NAMES",
     "Backend",
-    "BucketRegressor",
     "CandidateMode",
     "CaptureLog",
     "Column",
     "ColumnRef",
     "ColumnType",
-    "CorrectionModel",
     "CorrectionStore",
     "CostModelConfig",
     "CreationPolicy",
@@ -64,7 +62,6 @@ EXPECTED = [
     "Session",
     "ShardRouter",
     "ShrinkingSetResult",
-    "SketchJoinEstimator",
     "SkewSpec",
     "SqliteBackend",
     "StalenessMonitor",

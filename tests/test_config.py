@@ -137,7 +137,6 @@ class TestLearnedConfig:
     def test_default_is_off(self):
         config = ServiceConfig()
         assert config.learned_enabled is False
-        assert config.learned_model == "multiplicative"
 
     def test_learned_requires_feedback(self):
         with pytest.raises(ValueError, match="requires feedback_enabled"):
@@ -147,14 +146,12 @@ class TestLearnedConfig:
         config = ServiceConfig(
             feedback_enabled=True,
             learned_enabled=True,
-            learned_model="bucket",
         )
-        assert config.learned_model == "bucket"
+        assert config.learned_enabled is True
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("learned_model", "neural"),
             ("learned_decay", 0.0),
             ("learned_decay", 1.0),
             ("learned_max_factor", 1.0),
