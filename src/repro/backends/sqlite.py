@@ -57,6 +57,7 @@ from repro.optimizer.plans import (
     PlanNode,
     ScanNode,
     SortNode,
+    better_plan,
 )
 from repro.optimizer.selectivity import SelectivityEstimator
 from repro.optimizer.variables import GroupByVariable, JoinVariable
@@ -812,14 +813,6 @@ class SqliteBackend(Backend):
         )
         return ScanNode(table, predicates, rows * filter_sel, cost)
 
-    @staticmethod
-    def _better(a: PlanNode, b: PlanNode) -> bool:
-        """Deterministic plan comparison: cost, then signature — the same
-        tie-break as :meth:`repro.optimizer.optimizer.Optimizer._better`."""
-        if a.cost != b.cost:
-            return a.cost < b.cost
-        return str(a.signature()) < str(b.signature())
-
     def _join_selectivity(
         self, joins, estimator: SelectivityEstimator
     ) -> float:
@@ -898,7 +891,7 @@ class SqliteBackend(Backend):
         )
         best = candidates[0]
         for candidate in candidates[1:]:
-            if self._better(candidate, best):
+            if better_plan(candidate, best):
                 best = candidate
         return best
 
@@ -949,7 +942,7 @@ class SqliteBackend(Backend):
         )
         best = (
             stream_full
-            if self._better(stream_full, hash_full)
+            if better_plan(stream_full, hash_full)
             else hash_full
         )
         best._order_by_applied = True

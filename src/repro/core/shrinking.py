@@ -31,7 +31,7 @@ from repro.core.equivalence import (
     ExecutionTreeEquivalence,
 )
 from repro.core.mnsa import MnsaConfig
-from repro.optimizer.cache import OptimizationRequest
+from repro.optimizer.cache import OptimizationRequest, is_relevant
 from repro.optimizer.optimizer import OptimizationResult
 from repro.sql.query import Query
 from repro.stats.statistic import StatKey
@@ -54,23 +54,11 @@ class ShrinkingSetResult:
     memo_hits: int = 0
 
 
-def _is_relevant(key: StatKey, query: Query) -> bool:
-    """Step 4's filter: is ``key`` potentially relevant to ``query``?"""
-    if key.table not in query.tables:
-        return False
-    relevant = {
-        ref.column
-        for ref in query.relevant_columns()
-        if ref.table == key.table
-    }
-    return bool(set(key.columns) & relevant)
-
-
 def _relevant_subset(
     query: Query, keys: Iterable[StatKey]
 ) -> FrozenSet[StatKey]:
     """The statistics among ``keys`` that can affect ``query``'s plan."""
-    return frozenset(key for key in keys if _is_relevant(key, query))
+    return frozenset(key for key in keys if is_relevant(key, query))
 
 
 def shrinking_set(
@@ -120,11 +108,8 @@ def shrinking_set(
         if memoize and cache_key in memo:
             memo_hits += 1
             return memo[cache_key]
-        hidden = [
-            key
-            for key in backend.stat_keys()
-            if key not in set(available)
-        ]
+        visible = set(available)
+        hidden = [key for key in backend.stat_keys() if key not in visible]
         result = backend.optimize(
             OptimizationRequest(queries[i], ignore=hidden)
         )
@@ -139,7 +124,7 @@ def shrinking_set(
     removed: List[StatKey] = []
     for key in original:  # step 3
         relevant_query_ids = [
-            i for i, q in enumerate(queries) if _is_relevant(key, q)
+            i for i, q in enumerate(queries) if is_relevant(key, q)
         ]
         without = [k for k in retained if k != key]
         drop_ok = True

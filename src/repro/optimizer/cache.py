@@ -182,18 +182,12 @@ class OptimizationRequest:
 # ----------------------------------------------------------------------
 
 
-def _is_relevant(key: StatKey, query: Query) -> bool:
-    """Can ``key`` affect ``query``'s plan?  Same filter as Figure 2's
-    step 4 (see :mod:`repro.core.shrinking`): a plan depends only on the
-    visible statistics over the query's own relevant columns."""
-    if key.table not in query.tables:
-        return False
-    relevant = {
-        ref.column
-        for ref in query.relevant_columns()
-        if ref.table == key.table
-    }
-    return bool(set(key.columns) & relevant)
+def is_relevant(key: StatKey, query: Query) -> bool:
+    """Can ``key`` affect ``query``'s plan?  It can iff it covers one of
+    the query's relevant columns: a plan depends only on the visible
+    statistics over those.  This is also Figure 2's step 4 filter (see
+    :mod:`repro.core.shrinking`)."""
+    return not query.relevant_columns_of(key.table).isdisjoint(key.columns)
 
 
 def statistics_fingerprint(
@@ -222,7 +216,7 @@ def statistics_fingerprint(
     )
     relevant = []
     for key in stats.visible_keys():
-        if key in hidden or not _is_relevant(key, query):
+        if key in hidden or not is_relevant(key, query):
             continue
         try:
             stat = stats.get(key)

@@ -17,11 +17,23 @@ An optional :class:`~repro.optimizer.cache.PlanCache` memoizes results
 per request; see that module for the epoch / fingerprint invalidation
 contract.
 
-Join enumeration is left-deep dynamic programming (System R): states are
-table subsets; each extension joins one more base-table access path using
-the cheapest of index nested loops, naive nested loops, hash, and
-sort-merge.  Ties break on the plan signature so optimization is fully
-deterministic — essential for Execution-Tree equivalence experiments.
+Join enumeration is System R dynamic programming over a join graph built
+once per plan search (``_JoinGraph``).  Tables are bit positions in
+sorted-name order and DP states are ``int`` masks, visited in ascending
+order so every sub-plan is ready before the subsets built from it.  The
+graph holds per-table adjacency masks and each joined pair's selectivity,
+estimated once.  A step joins one more base-table access path
+(left-deep) or, with ``enable_bushy_joins``, two sub-plans of two or
+more tables each.  Each step is costed as plain floats for hash,
+sort-merge, index nested loops and naive nested loops, and only the
+subset's winning step becomes a :class:`JoinNode`.  Ties are
+deterministic, which Execution-Tree equivalence experiments need:
+
+* within one step an exact cost tie goes to the earlier algorithm in
+  that list, which is also how their signature strings compare;
+* across steps an exact cost tie goes to the smaller signature string
+  (:func:`~repro.optimizer.plans.better_plan`); only then are the tied
+  steps' nodes built.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, List, Optional
 
 from repro.concurrency import guarded_by, plan_source
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
@@ -49,6 +61,7 @@ from repro.optimizer.plans import (
     PlanNode,
     ScanNode,
     SortNode,
+    better_plan,
 )
 from repro.optimizer.selectivity import SelectivityEstimator
 from repro.optimizer.variables import (
@@ -334,244 +347,205 @@ class Optimizer:
 
     def _best_access_path(self, table, query, estimator) -> PlanNode:
         paths = self._access_paths(table, query, estimator)
-        return min(paths, key=lambda p: (p.cost, str(p.signature())))
+        return min(paths, key=lambda p: (p.cost, p.signature_str()))
 
     # ----- join enumeration -------------------------------------------
 
     def _enumerate_joins(
         self, query: Query, estimator: SelectivityEstimator
     ) -> PlanNode:
-        tables = list(query.tables)
-        access: Dict[str, PlanNode] = {
-            t: self._best_access_path(t, query, estimator) for t in tables
+        access = {
+            t: self._best_access_path(t, query, estimator)
+            for t in query.tables
         }
-        if len(tables) == 1:
-            return access[tables[0]]
-
-        # dp over table subsets; left-deep extensions only
-        dp: Dict[FrozenSet[str], PlanNode] = {
-            frozenset((t,)): access[t] for t in tables
-        }
-        for size in range(2, len(tables) + 1):
-            for combo in itertools.combinations(tables, size):
-                subset = frozenset(combo)
+        if len(query.tables) == 1:
+            return access[query.tables[0]]
+        graph = _JoinGraph(query, estimator, self._inner_index_of)
+        # dp[mask] is the best plan for the tables in ``mask``; every
+        # proper sub-mask of a mask is numerically smaller, so ascending
+        # masks see each subset's sub-plans before the subset itself
+        dp: list = [None] * (1 << len(graph.names))
+        for i, name in enumerate(graph.names):
+            dp[1 << i] = access[name]
+        for mask in range(3, len(dp)):
+            if not mask & (mask - 1):
+                continue  # a single table: its access path
+            best = self._best_extension(mask, dp, graph, allow_cartesian=False)
+            if self._config.enable_bushy_joins:
+                bushy = self._best_bushy(mask, dp, graph)
+                if bushy is not None and (
+                    best is None or self._step_wins(bushy, best, dp, graph)
+                ):
+                    best = bushy
+            if best is None:
+                # disconnected join graph: fall back to a cross product
                 best = self._best_extension(
-                    subset, dp, access, query, estimator, allow_cartesian=False
+                    mask, dp, graph, allow_cartesian=True
                 )
-                if self._config.enable_bushy_joins:
-                    bushy = self._best_bushy(
-                        subset, dp, query, estimator
-                    )
-                    if bushy is not None and (
-                        best is None or self._better(bushy, best)
-                    ):
-                        best = bushy
-                if best is None:
-                    # disconnected join graph: fall back to a cross product
-                    best = self._best_extension(
-                        subset,
-                        dp,
-                        access,
-                        query,
-                        estimator,
-                        allow_cartesian=True,
-                    )
-                if best is not None:
-                    dp[subset] = best
-        final = dp.get(frozenset(tables))
-        if final is None:
-            raise OptimizerError(f"no join order found for tables {tables}")
-        return final
+            dp[mask] = self._build_step(best, dp, graph)
+        return dp[-1]
 
     def _best_extension(
-        self,
-        subset: FrozenSet[str],
-        dp,
-        access,
-        query: Query,
-        estimator: SelectivityEstimator,
-        allow_cartesian: bool,
-    ) -> Optional[PlanNode]:
-        """Cheapest left-deep plan for ``subset`` (one extension step)."""
-        best: Optional[PlanNode] = None
-        for inner in sorted(subset):
-            rest = subset - {inner}
-            left = dp.get(rest)
-            if left is None:
+        self, mask: int, dp, graph: _JoinGraph, allow_cartesian: bool
+    ) -> Optional[tuple]:
+        """Cheapest left-deep step for ``mask``: some sub-plan joined
+        with one more base-table access path, inner tables tried in
+        ascending bit (= sorted name) order."""
+        best: Optional[tuple] = None
+        remaining = mask
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            inner = low.bit_length() - 1
+            rest = mask ^ low
+            connected = graph.adjacency[inner] & rest
+            if not connected and not allow_cartesian:
                 continue
-            joins = query.joins_between(rest, (inner,))
-            if not joins and not allow_cartesian:
-                continue
-            candidate = self._best_join(left, access[inner], joins, estimator)
-            if best is None or self._better(candidate, best):
-                best = candidate
+            step = self._cheapest_join(
+                rest,
+                low,
+                dp,
+                graph.extension_selectivity(inner, connected),
+                bool(connected),
+                graph.inner_index(inner, rest),
+            )
+            if best is None or self._step_wins(step, best, dp, graph):
+                best = step
         return best
-
-    @staticmethod
-    def _better(a: PlanNode, b: PlanNode) -> bool:
-        """Deterministic plan comparison: cost, then signature."""
-        if a.cost != b.cost:
-            return a.cost < b.cost
-        return str(a.signature()) < str(b.signature())
 
     def _best_bushy(
-        self,
-        subset: FrozenSet[str],
-        dp,
-        query: Query,
-        estimator: SelectivityEstimator,
-    ) -> Optional[PlanNode]:
-        """Cheapest bushy decomposition of ``subset`` into two joined
-        sub-plans of size >= 2 each (left-deep shapes are handled by
-        ``_best_extension``; considering both here would double work)."""
-        if len(subset) < 4:
+        self, mask: int, dp, graph: _JoinGraph
+    ) -> Optional[tuple]:
+        """Cheapest bushy step for ``mask``: two joined sub-plans of size
+        >= 2 each (left-deep shapes are handled by ``_best_extension``;
+        considering both here would double work)."""
+        members = [1 << i for i in range(len(graph.names)) if mask >> i & 1]
+        if len(members) < 4:
             return None
-        members = sorted(subset)
-        best: Optional[PlanNode] = None
-        # enumerate one side; fix members[0] on the left to halve the work
-        others = members[1:]
-        for size in range(1, len(others)):
+        best: Optional[tuple] = None
+        # enumerate one side; fix the lowest member on the left to halve
+        # the work, and keep both sides at two or more tables
+        first, others = members[0], members[1:]
+        for size in range(1, len(others) - 1):
             for combo in itertools.combinations(others, size):
-                left_set = frozenset((members[0],) + combo)
-                right_set = subset - left_set
-                if len(left_set) < 2 or len(right_set) < 2:
+                left_mask = first | sum(combo)
+                right_mask = mask ^ left_mask
+                if not graph.neighbors[left_mask] & right_mask:
                     continue
-                left = dp.get(left_set)
-                right = dp.get(right_set)
-                if left is None or right is None:
-                    continue
-                joins = query.joins_between(left_set, right_set)
-                if not joins:
-                    continue
-                candidate = self._best_join(left, right, joins, estimator)
-                if best is None or self._better(candidate, best):
-                    best = candidate
+                step = self._cheapest_join(
+                    left_mask,
+                    right_mask,
+                    dp,
+                    graph.selectivity_between(left_mask, right_mask),
+                    True,
+                    None,
+                )
+                if best is None or self._step_wins(step, best, dp, graph):
+                    best = step
         return best
 
-    def _join_selectivity(
-        self, joins, estimator: SelectivityEstimator
-    ) -> float:
-        """Combined selectivity of join predicates (grouped per pair)."""
-        if not joins:
-            return 1.0
-        groups: Dict[tuple, list] = {}
-        for join in joins:
-            pair = tuple(sorted(join.tables()))
-            groups.setdefault(pair, []).append(join)
-        selectivity = 1.0
-        for _, preds in sorted(groups.items()):
-            variable = JoinVariable(tuple(preds))
-            selectivity *= estimator.join_group_selectivity(variable)
-        return selectivity
-
-    def _best_join(
+    def _cheapest_join(
         self,
-        left: PlanNode,
-        right: PlanNode,
-        joins,
-        estimator: SelectivityEstimator,
-    ) -> PlanNode:
-        """Cheapest algorithm for joining ``left`` with base-path ``right``."""
-        selectivity = self._join_selectivity(joins, estimator)
+        left_mask: int,
+        right_mask: int,
+        dp,
+        selectivity: float,
+        connected: bool,
+        inner_index: Optional[str],
+    ) -> tuple:
+        """Cheapest algorithm for joining ``dp[left_mask]`` with
+        ``dp[right_mask]``, compared on cost floats alone.
+
+        Returns the step ``(cost, left_mask, right_mask, algorithm, rows,
+        inner_index, build_side)``; :meth:`_build_step` makes it a
+        :class:`JoinNode`.  Candidates are tried as hash, merge, index
+        nested loops, naive nested loops, and only a strictly cheaper one
+        replaces the best: on an exact cost tie the earlier one wins,
+        which is how their signature strings compare.  ``inner_index``
+        is only set when the right side is a base-table access path.
+        """
+        left, right = dp[left_mask], dp[right_mask]
         out_rows = max(0.0, left.rows * right.rows * selectivity)
-        children_cost = left.cost + right.cost
-        candidates: List[PlanNode] = []
-
-        if self._config.enable_hash_join and joins:
-            build_rows = min(left.rows, right.rows)
-            probe_rows = max(left.rows, right.rows)
-            build_side = "right" if right.rows <= left.rows else "left"
-            cost = children_cost + self._cost.hash_join(
-                build_rows, probe_rows, out_rows
-            )
-            candidates.append(
-                JoinNode(
-                    JoinAlgorithm.HASH,
-                    left,
-                    right,
-                    joins,
+        # (cost, algorithm, inner_index, build_side), in tie-break order
+        candidates: List[tuple] = []
+        if connected:
+            children_cost = left.cost + right.cost
+            if self._config.enable_hash_join:
+                build_side = "right" if right.rows <= left.rows else "left"
+                cost = children_cost + self._cost.hash_join(
+                    min(left.rows, right.rows),
+                    max(left.rows, right.rows),
                     out_rows,
-                    cost,
-                    build_side=build_side,
                 )
-            )
-
-        if self._config.enable_merge_join and joins:
-            cost = children_cost + self._cost.merge_join(
-                left.rows, right.rows, out_rows
-            )
-            candidates.append(
-                JoinNode(
-                    JoinAlgorithm.MERGE, left, right, joins, out_rows, cost
+                candidates.append((cost, JoinAlgorithm.HASH, None, build_side))
+            if self._config.enable_merge_join:
+                cost = children_cost + self._cost.merge_join(
+                    left.rows, right.rows, out_rows
                 )
-            )
-
-        # index nested loops: seek the inner table's join column per outer row
-        inner_index = self._usable_inner_index(right, joins)
-        if inner_index is not None:
-            matches_per_outer = (
-                right.rows * selectivity if left.rows > 0 else 0.0
-            )
-            cost = left.cost + self._cost.nested_loop_index(
-                left.rows, matches_per_outer
-            )
-            candidates.append(
-                JoinNode(
-                    JoinAlgorithm.NESTED_LOOP_INDEX,
-                    left,
-                    right,
-                    joins,
-                    out_rows,
-                    cost,
-                    inner_index=inner_index,
+                candidates.append((cost, JoinAlgorithm.MERGE, None, "right"))
+            # index nested loops: seek the inner table's join column per
+            # outer row
+            if inner_index is not None:
+                matches_per_outer = (
+                    right.rows * selectivity if left.rows > 0 else 0.0
                 )
-            )
-
-        # naive nested loops (also the only option for cartesian products)
-        rescan_cost = right.cost  # re-derive the inner side per outer row
+                cost = left.cost + self._cost.nested_loop_index(
+                    left.rows, matches_per_outer
+                )
+                candidates.append(
+                    (
+                        cost,
+                        JoinAlgorithm.NESTED_LOOP_INDEX,
+                        inner_index,
+                        "right",
+                    )
+                )
+        # naive nested loops (also the only option for cartesian
+        # products), re-deriving the inner side per outer row
         cost = left.cost + self._cost.nested_loop_scan(
-            max(1.0, left.rows), rescan_cost
+            max(1.0, left.rows), right.cost
         )
-        candidates.append(
-            JoinNode(
-                JoinAlgorithm.NESTED_LOOP_SCAN,
-                left,
-                right,
-                joins,
-                out_rows,
-                cost,
-            )
-        )
-
+        candidates.append((cost, JoinAlgorithm.NESTED_LOOP_SCAN, None, "right"))
         best = candidates[0]
         for candidate in candidates[1:]:
-            if self._better(candidate, best):
+            if candidate[0] < best[0]:
                 best = candidate
-        return best
+        cost, algorithm, index, build_side = best
+        return (
+            cost, left_mask, right_mask, algorithm, out_rows, index, build_side
+        )
 
-    def _usable_inner_index(self, right: PlanNode, joins) -> Optional[str]:
-        """Name of an index on the inner side's join column, if usable.
+    def _step_wins(self, step: tuple, best: tuple, dp, graph) -> bool:
+        """:func:`better_plan` on two steps of one subset; join nodes are
+        built only to break an exact cost tie."""
+        if step[0] != best[0]:
+            return step[0] < best[0]
+        return better_plan(
+            self._build_step(step, dp, graph),
+            self._build_step(best, dp, graph),
+        )
 
-        Index nested loops requires the inner side to be a bare base table
-        (we seek instead of using its access path) with an index on one of
-        the join columns.
-        """
-        if not joins:
-            return None
-        if not isinstance(right, (ScanNode, IndexSeekNode)):
-            return None
-        table = right.tables()[0]
+    @staticmethod
+    def _build_step(step: tuple, dp, graph: _JoinGraph) -> JoinNode:
+        cost, left_mask, right_mask, algorithm, rows, index, build_side = step
+        return JoinNode(
+            algorithm,
+            dp[left_mask],
+            dp[right_mask],
+            graph.joins_between(left_mask, right_mask),
+            rows,
+            cost,
+            inner_index=index,
+            build_side=build_side,
+        )
+
+    def _inner_index_of(self, join, table: str) -> Optional[str]:
+        """Name of an index on ``join``'s column of ``table``, if index
+        nested loops may seek it."""
         if not self._config.enable_index_paths:
             return None
-        for join in joins:
-            try:
-                inner_col = join.side_for(table)
-            except ValueError:
-                continue
-            index = self._db.indexes.index_on(inner_col)
-            if index is not None:
-                return index.name
-        return None
+        index = self._db.indexes.index_on(join.side_for(table))
+        return None if index is None else index.name
 
     # ----- aggregation and ordering -----------------------------------
 
@@ -626,7 +600,7 @@ class Optimizer:
         )
         best = (
             stream_full
-            if self._better(stream_full, hash_full)
+            if better_plan(stream_full, hash_full)
             else hash_full
         )
         # mark so the caller does not add ORDER BY twice
@@ -675,3 +649,113 @@ class Optimizer:
             return plan
         cost = plan.cost + self._cost.sort(plan.rows)
         return SortNode(plan, query.order_by, cost)
+
+
+class _JoinGraph:
+    """One query's join graph, built once per plan search.
+
+    Tables are bit positions in sorted-name order, so ascending bits
+    visit a subset's tables in ``sorted`` order and DP states are ``int``
+    masks.  Each joined table pair's selectivity is estimated once here.
+
+    Attributes:
+        names: the query's tables, sorted; table ``i`` is bit ``1 << i``.
+        adjacency: per table, the mask of tables it joins with.
+        neighbors: per mask, the union of its tables' adjacency masks.
+    """
+
+    __slots__ = (
+        "names",
+        "adjacency",
+        "neighbors",
+        "_joins",
+        "_incident",
+        "_selectivity",
+    )
+
+    def __init__(
+        self, query: Query, estimator: SelectivityEstimator, index_of
+    ) -> None:
+        self.names = sorted(query.tables)
+        bit = {name: i for i, name in enumerate(self.names)}
+        n = len(self.names)
+        self.adjacency = [0] * n
+        # every join as (join, left bit, right bit), in query.joins order
+        self._joins: List[tuple] = []
+        # per table: (join, other table's bit, index name), in
+        # query.joins order, for the index nested-loops decision
+        self._incident: List[List[tuple]] = [[] for _ in range(n)]
+        pairs: Dict[tuple, list] = {}
+        for join in query.joins:
+            a, b = bit[join.left.table], bit[join.right.table]
+            self.adjacency[a] |= 1 << b
+            self.adjacency[b] |= 1 << a
+            self._joins.append((join, 1 << a, 1 << b))
+            self._incident[a].append(
+                (join, 1 << b, index_of(join, self.names[a]))
+            )
+            self._incident[b].append(
+                (join, 1 << a, index_of(join, self.names[b]))
+            )
+            pairs.setdefault((min(a, b), max(a, b)), []).append(join)
+        self._selectivity = [[1.0] * n for _ in range(n)]
+        for (a, b), preds in sorted(pairs.items()):
+            value = estimator.join_group_selectivity(JoinVariable(tuple(preds)))
+            self._selectivity[a][b] = self._selectivity[b][a] = value
+        self.neighbors = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            self.neighbors[mask] = (
+                self.neighbors[mask ^ low]
+                | self.adjacency[low.bit_length() - 1]
+            )
+
+    def extension_selectivity(self, inner: int, connected: int) -> float:
+        """Selectivity of joining table ``inner`` to the tables in
+        ``connected``: the product over each joined pair, in sorted pair
+        order (for a fixed ``inner`` that is ascending partner order)."""
+        row = self._selectivity[inner]
+        selectivity = 1.0
+        while connected:
+            low = connected & -connected
+            connected ^= low
+            selectivity *= row[low.bit_length() - 1]
+        return selectivity
+
+    def selectivity_between(self, left_mask: int, right_mask: int) -> float:
+        """Selectivity of the joins spanning two disjoint masks: the
+        product over each joined pair ``(i, j)``, ``i < j``, in sorted
+        pair order."""
+        selectivity = 1.0
+        remaining = left_mask | right_mask
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            i = low.bit_length() - 1
+            other_side = right_mask if low & left_mask else left_mask
+            partners = self.adjacency[i] & other_side & ~(2 * low - 1)
+            row = self._selectivity[i]
+            while partners:
+                partner = partners & -partners
+                partners ^= partner
+                selectivity *= row[partner.bit_length() - 1]
+        return selectivity
+
+    def inner_index(self, inner: int, rest: int) -> Optional[str]:
+        """The index nested loops would seek on table ``inner`` when
+        joining it to ``rest``: the first joining predicate, in
+        query.joins order, whose ``inner`` column is indexed."""
+        for _, other, index in self._incident[inner]:
+            if other & rest and index is not None:
+                return index
+        return None
+
+    def joins_between(self, left_mask: int, right_mask: int) -> tuple:
+        """Join predicates spanning two disjoint masks, in query.joins
+        order."""
+        return tuple(
+            join
+            for join, a, b in self._joins
+            if (a & left_mask and b & right_mask)
+            or (b & left_mask and a & right_mask)
+        )

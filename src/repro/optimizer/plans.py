@@ -10,6 +10,11 @@ Every node carries its estimated output ``rows`` and cumulative estimated
 * **plan_signature**, the basis of Execution-Tree equivalence (Sec 3.2):
   two plans are the same execution tree iff their signatures are equal.
   Signatures deliberately exclude estimated rows and costs.
+
+:func:`better_plan` is the one deterministic plan order every planner
+uses: cost first, then ``str(signature())``.  Nodes memoize that string
+(:meth:`PlanNode.signature_str`), composing it from their children's
+memoized strings, so a tie-break never re-renders a whole subtree.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ class PlanNode:
         self.children = children
         self.rows = float(rows)
         self.cost = float(cost)
+        self._signature_str: Optional[str] = None
 
     @property
     def local_cost(self) -> float:
@@ -51,6 +57,31 @@ class PlanNode:
         return tuple(seen)
 
     def signature(self) -> tuple:
+        """This node's own signature fields, then each child's signature."""
+        return self._signature_head() + tuple(
+            child.signature() for child in self.children
+        )
+
+    def signature_str(self) -> str:
+        """``str(self.signature())``, memoized.
+
+        Composed from the children's memoized strings: ``str`` of a tuple
+        is the ``repr`` of its items joined by ``", "``, and a nested
+        tuple's ``repr`` is its ``str``.  Every head has at least two
+        items, so its ``repr`` never ends in a one-tuple's comma.  Nodes
+        are never mutated after construction, so the memo cannot go
+        stale.
+        """
+        text = self._signature_str
+        if text is None:
+            text = repr(self._signature_head())[:-1]
+            for child in self.children:
+                text += ", " + child.signature_str()
+            text += ")"
+            self._signature_str = text
+        return text
+
+    def _signature_head(self) -> tuple:
         raise NotImplementedError
 
     def walk(self):
@@ -95,7 +126,7 @@ class ScanNode(PlanNode):
     def tables(self) -> Tuple[str, ...]:
         return (self.table,)
 
-    def signature(self) -> tuple:
+    def _signature_head(self) -> tuple:
         return (
             "scan",
             self.table,
@@ -134,7 +165,7 @@ class IndexSeekNode(PlanNode):
     def tables(self) -> Tuple[str, ...]:
         return (self.table,)
 
-    def signature(self) -> tuple:
+    def _signature_head(self) -> tuple:
         return (
             "seek",
             self.table,
@@ -178,15 +209,13 @@ class JoinNode(PlanNode):
     def right(self) -> PlanNode:
         return self.children[1]
 
-    def signature(self) -> tuple:
+    def _signature_head(self) -> tuple:
         return (
             "join",
             self.algorithm.value,
             self.inner_index,
             self.build_side if self.algorithm == JoinAlgorithm.HASH else None,
             tuple(sorted(str(p) for p in self.join_predicates)),
-            self.left.signature(),
-            self.right.signature(),
         )
 
     def _label(self) -> str:
@@ -223,13 +252,12 @@ class AggregateNode(PlanNode):
     def child(self) -> PlanNode:
         return self.children[0]
 
-    def signature(self) -> tuple:
+    def _signature_head(self) -> tuple:
         return (
             "aggregate",
             self.method,
             tuple(str(c) for c in self.group_by),
             tuple(str(a) for a in self.aggregates),
-            self.child.signature(),
         )
 
     def _label(self) -> str:
@@ -251,12 +279,8 @@ class HavingNode(PlanNode):
     def child(self) -> PlanNode:
         return self.children[0]
 
-    def signature(self) -> tuple:
-        return (
-            "having",
-            tuple(sorted(str(p) for p in self.predicates)),
-            self.child.signature(),
-        )
+    def _signature_head(self) -> tuple:
+        return ("having", tuple(sorted(str(p) for p in self.predicates)))
 
     def _label(self) -> str:
         conds = " AND ".join(str(p) for p in self.predicates)
@@ -276,15 +300,23 @@ class SortNode(PlanNode):
     def child(self) -> PlanNode:
         return self.children[0]
 
-    def signature(self) -> tuple:
-        return (
-            "sort",
-            tuple(str(k) for k in self.keys),
-            self.child.signature(),
-        )
+    def _signature_head(self) -> tuple:
+        return ("sort", tuple(str(k) for k in self.keys))
 
     def _label(self) -> str:
         return f"Sort(by {', '.join(str(k) for k in self.keys)})"
+
+
+def better_plan(a: PlanNode, b: PlanNode) -> bool:
+    """Deterministic plan order: lower cost, then smaller signature string.
+
+    Total over plans with distinct signatures, which makes plan choice
+    fully deterministic — essential for Execution-Tree equivalence
+    experiments.
+    """
+    if a.cost != b.cost:
+        return a.cost < b.cost
+    return a.signature_str() < b.signature_str()
 
 
 def plan_signature(plan: PlanNode) -> tuple:

@@ -12,7 +12,7 @@ projection are not (footnote 1 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.catalog import ColumnRef
 from repro.errors import SqlBindError
@@ -115,6 +115,24 @@ class Query(Statement):
             if ref not in seen:
                 seen.append(ref)
         return tuple(seen)
+
+    def relevant_columns_of(self, table: str) -> FrozenSet[str]:
+        """Names of ``table``'s relevant columns (empty for a table the
+        query does not reference).
+
+        Memoized on the instance, outside the dataclass fields, so it
+        stays out of ``__eq__``, ``__hash__`` and ``repr``.  The query is
+        frozen, so the memo cannot go stale; concurrent first calls
+        compute the same value.
+        """
+        by_table = self.__dict__.get("_relevant_by_table")
+        if by_table is None:
+            grouped: Dict[str, set] = {}
+            for ref in self.relevant_columns():
+                grouped.setdefault(ref.table, set()).add(ref.column)
+            by_table = {t: frozenset(cols) for t, cols in grouped.items()}
+            object.__setattr__(self, "_relevant_by_table", by_table)
+        return by_table.get(table, frozenset())
 
     def selection_columns_of(self, table: str) -> Tuple[ColumnRef, ...]:
         """Distinct columns of ``table`` used in selection predicates."""

@@ -3,11 +3,13 @@
 from repro.catalog import ColumnRef
 from repro.optimizer.plans import (
     AggregateNode,
+    HavingNode,
     IndexSeekNode,
     JoinAlgorithm,
     JoinNode,
     ScanNode,
     SortNode,
+    better_plan,
     plan_signature,
 )
 from repro.sql.predicates import ComparisonPredicate, JoinPredicate
@@ -124,6 +126,35 @@ class TestSignatures:
         a = AggregateNode(_scan(), (AGE,), (), 3, 9.0)
         b = AggregateNode(_scan(), (DEPT_ID,), (), 3, 9.0)
         assert a.signature() != b.signature()
+
+    def test_signature_str_is_str_of_signature(self):
+        other = ComparisonPredicate(ColumnRef("emp", "salary"), ">", 1.0)
+        seek = IndexSeekNode("emp", "idx", PRED, (other,), 10, 5.0)
+        join = JoinNode(
+            JoinAlgorithm.NESTED_LOOP_INDEX,
+            _join(build_side="left"),
+            seek,
+            (JoinPredicate(DEPT_ID, DID),),
+            rows=3,
+            cost=40.0,
+            inner_index="idx",
+        )
+        aggregate = AggregateNode(join, (AGE,), (), 3, 50.0, method="stream")
+        having = HavingNode(aggregate, (), 2, 51.0)
+        plan = SortNode(having, (AGE, DEPT_ID), cost=60.0)
+        for node in plan.walk():
+            assert node.signature_str() == str(node.signature())
+
+    def test_better_plan_orders_by_cost_then_signature(self):
+        cheap = _scan(cost=1.0)
+        dear = ScanNode("dept", (), 4, 2.0)
+        assert better_plan(cheap, dear) and not better_plan(dear, cheap)
+        hash_join = _join(JoinAlgorithm.HASH)
+        merge_join = _join(JoinAlgorithm.MERGE)
+        assert hash_join.cost == merge_join.cost
+        assert better_plan(hash_join, merge_join)
+        assert not better_plan(merge_join, hash_join)
+        assert not better_plan(hash_join, _join(JoinAlgorithm.HASH))
 
     def test_seek_predicates_property(self):
         seek = IndexSeekNode("emp", "idx", PRED, (), 10, 5.0)

@@ -82,6 +82,20 @@ class TestRelevantColumns:
         relevant = query.relevant_columns()
         assert len(relevant) == len(set(relevant))
 
+    def test_relevant_columns_of_groups_by_table(self):
+        query = _two_table_query(group_by=(DNAME,), order_by=(SAL,))
+        assert query.relevant_columns_of("emp") == {"age", "dept_id"}
+        assert query.relevant_columns_of("dept") == {"id", "dname"}
+        assert query.relevant_columns_of("lineitem") == frozenset()
+
+    def test_relevant_columns_memo_is_not_query_state(self):
+        query = _two_table_query()
+        fresh = _two_table_query()
+        query.relevant_columns_of("emp")
+        assert query == fresh
+        assert hash(query) == hash(fresh)
+        assert repr(query) == repr(fresh)
+
 
 class TestPerTableAccessors:
     def test_selection_columns_of(self):
