@@ -349,7 +349,12 @@ class StatsShard:
         with self._lock:
             for key in self.keys_on_table(table_name):
                 old = self._statistics[key]
-                rebuilt = build_statistic(data, key, self._config)
+                rebuilt = build_statistic(
+                    data,
+                    key,
+                    self._config,
+                    histogram_kind=old.histogram.kind,
+                )
                 rebuilt.update_count = old.update_count + 1
                 self._statistics[key] = rebuilt
                 cost = statistic_update_cost(
@@ -401,7 +406,9 @@ class StatsShard:
                 raise StatisticsError(f"no statistic {key}")
             data = self._db.table(key.table)
             old = self._statistics[key]
-            fresh = build_statistic(data, key, self._config)
+            fresh = build_statistic(
+                data, key, self._config, histogram_kind=old.histogram.kind
+            )
             fresh.update_count = old.update_count + 1
             self._statistics[key] = fresh
             cost = statistic_update_cost(

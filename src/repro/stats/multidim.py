@@ -177,31 +177,35 @@ def build_mhist(
                 best = (score, dimension, float(distinct[idx]))
         return best
 
-    working = [_Work(np.arange(n))]
+    # each working cell is kept with its best split, computed once: a
+    # split only changes the two cells it creates
+    root = _Work(np.arange(n))
+    working = [(root, best_split(root))]
     while len(working) < max_cells:
-        candidates = [(best_split(w), i) for i, w in enumerate(working)]
         candidates = [
-            (score, dim, value, i)
-            for (score, dim, value), i in candidates
-            if dim is not None
+            (split[0], i)
+            for i, (_, split) in enumerate(working)
+            if split[1] is not None
         ]
         if not candidates:
             break
-        score, dim, value, i = max(candidates, key=lambda c: c[0])
+        # max() keeps the first of equal scores: the earliest cell wins
+        score, i = max(candidates, key=lambda c: c[0])
         if score <= 0:
             break
-        work = working.pop(i)
+        entry = working.pop(i)
+        work, (_, dim, value) = entry
         values = x[work.rows] if dim == "x" else y[work.rows]
         left_mask = values <= value
         left = _Work(work.rows[left_mask])
         right = _Work(work.rows[~left_mask])
         if left.rows.shape[0] == 0 or right.rows.shape[0] == 0:
-            working.insert(i, work)
+            working.insert(i, entry)
             break
-        working.extend([left, right])
+        working.extend([(left, best_split(left)), (right, best_split(right))])
 
     cells = []
-    for work in working:
+    for work, _ in working:
         x_lo, x_hi, y_lo, y_hi = work.bounds()
         cells.append(
             _Cell(x_lo, x_hi, y_lo, y_hi, float(work.rows.shape[0]))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.catalog import ColumnRef
 from repro.errors import StatisticsError
+from repro.stats.histogram import HistogramKind
 from repro.stats.manager import ensure_index_statistics
 from repro.stats.statistic import StatKey
 
@@ -198,6 +199,22 @@ class TestRefresh:
         db.stats.refresh_table("emp")
         hist = db.stats.get(AGE).histogram
         assert hist.selectivity_equal(55) == pytest.approx(1.0)
+
+    def test_refresh_keeps_histogram_kind(self, db):
+        db.stats.create(AGE, histogram_kind=HistogramKind.EQUI_DEPTH)
+        db.stats.create(SAL)
+        db.update(
+            "emp", np.ones(db.row_count("emp"), dtype=bool), {"age": 55}
+        )
+        db.stats.refresh_table("emp")
+        assert db.stats.get(AGE).histogram.kind == HistogramKind.EQUI_DEPTH
+        assert db.stats.get(SAL).histogram.kind == HistogramKind.MAXDIFF
+
+    def test_rebuild_keeps_histogram_kind(self, db):
+        db.stats.create(AGE, histogram_kind=HistogramKind.EQUI_DEPTH)
+        db.stats.rebuild(AGE)
+        assert db.stats.get(AGE).histogram.kind == HistogramKind.EQUI_DEPTH
+        assert db.stats.get(AGE).update_count == 1
 
     def test_counter_exactly_at_trigger_is_due(self, db):
         """The boundary case: counter == fraction * rows triggers.
